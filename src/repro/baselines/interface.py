@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bloom.array import unique_rows
 from repro.core.key_table import KeyTable
 from repro.core.results import merge_keys
 from repro.errors import ValidationError
@@ -53,8 +54,7 @@ class SubsetMatcher(abc.ABC):
         if blocks.ndim != 2 or blocks.shape[0] != keys.shape[0]:
             raise ValidationError("blocks and keys must be parallel")
         start = time.perf_counter()
-        unique_blocks, inverse = np.unique(blocks, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        unique_blocks, inverse = unique_rows(blocks)
         self.key_table = KeyTable.from_grouped(inverse, keys, unique_blocks.shape[0])
         index_bytes = self._build_index(unique_blocks)
         self.build_report = BuildReport(

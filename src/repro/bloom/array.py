@@ -19,7 +19,7 @@ from repro.bloom.filter import BloomSignature
 from repro.bloom.hashing import BLOCK_BITS, TagHasher
 from repro.errors import ValidationError
 
-__all__ = ["SignatureArray"]
+__all__ = ["SignatureArray", "unique_rows"]
 
 _U64 = np.uint64
 
@@ -41,6 +41,32 @@ def _bit_length_u64(x: np.ndarray) -> np.ndarray:
         x[big] >>= _U64(shift)
     n[x > 0] += 1
     return n
+
+
+def unique_rows(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deduplicate the rows of a 2-D array by sorting.
+
+    Returns ``(unique, inverse)`` exactly as
+    ``np.unique(blocks, axis=0, return_inverse=True)`` does: the distinct
+    rows in lexicographic order (column 0 most significant) and, for every
+    input row, the index of its unique row.  One ``np.lexsort`` and an
+    adjacent-row comparison replace NumPy's sort over a structured view.
+    """
+    blocks = np.asarray(blocks)
+    if blocks.ndim != 2:
+        raise ValidationError(f"expected a 2-D array, got shape {blocks.shape}")
+    n = blocks.shape[0]
+    if n == 0:
+        return blocks.copy(), np.empty(0, dtype=np.intp)
+    # np.lexsort sorts by the *last* key first: feed columns in reverse.
+    order = np.lexsort(blocks.T[::-1])
+    ordered = blocks[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return ordered[starts], inverse
 
 
 class SignatureArray:
@@ -207,8 +233,8 @@ class SignatureArray:
         this to merge keys of users with identical interests (the paper's
         300 M users map to 212 M *unique* sets).
         """
-        uniq, inverse = np.unique(self.blocks, axis=0, return_inverse=True)
-        return SignatureArray(uniq, width=self.width), inverse.reshape(-1)
+        uniq, inverse = unique_rows(self.blocks)
+        return SignatureArray(uniq, width=self.width), inverse
 
     # ------------------------------------------------------------------
     # Dunder plumbing

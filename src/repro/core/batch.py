@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bloom.array import unique_rows
 from repro.core.results import QueryState
 from repro.errors import ValidationError
 
@@ -48,10 +49,8 @@ class Batch:
         dispatch path and tests may ask repeatedly.
         """
         if self._canon is None:
-            unique_rows, inverse = np.unique(
-                self.queries, axis=0, return_inverse=True
-            )
-            self._canon = (unique_rows, inverse.reshape(-1).astype(np.int64))
+            rows, inverse = unique_rows(self.queries)
+            self._canon = (rows, inverse.astype(np.int64))
         return self._canon
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bloom.array import unique_rows
 from repro.bloom.hashing import TagHasher
 from repro.core.config import TagMatchConfig
 from repro.core.key_table import KeyTable
@@ -116,6 +117,10 @@ class TagMatch:
         """Stage a removal by pre-encoded signature (delta tombstones)."""
         self._staging.stage_remove_signature(blocks, key)
 
+    def remove_signatures(self, blocks: np.ndarray, keys: np.ndarray) -> None:
+        """Bulk form of :meth:`remove_signature`: one removal per row."""
+        self._staging.stage_remove_bulk(blocks, keys)
+
     @classmethod
     def from_signatures(
         cls,
@@ -142,12 +147,7 @@ class TagMatch:
         blocks = self._database.blocks
         keys = self._database.keys
 
-        unique_blocks, inverse = (
-            np.unique(blocks, axis=0, return_inverse=True)
-            if len(blocks)
-            else (np.empty((0, self.hasher.num_blocks), dtype=np.uint64), np.empty(0, np.int64))
-        )
-        inverse = inverse.reshape(-1)
+        unique_blocks, inverse = unique_rows(blocks)
         self.key_table = KeyTable.from_grouped(inverse, keys, unique_blocks.shape[0])
 
         if self._store_tags:
@@ -248,15 +248,7 @@ class TagMatch:
         """Install a snapshot: database + precomputed partition layout."""
         start = time.perf_counter()
         self._database = ConsolidatedDatabase(db_blocks, db_keys)
-        unique_blocks, inverse = (
-            np.unique(db_blocks, axis=0, return_inverse=True)
-            if len(db_blocks)
-            else (
-                np.empty((0, self.hasher.num_blocks), dtype=np.uint64),
-                np.empty(0, np.int64),
-            )
-        )
-        inverse = inverse.reshape(-1)
+        unique_blocks, inverse = unique_rows(db_blocks)
         self.key_table = KeyTable.from_grouped(
             inverse, db_keys, unique_blocks.shape[0]
         )

@@ -73,16 +73,43 @@ class PartitioningResult:
         return self.num_sets / len(self.partitions)
 
 
+def _bit_frequencies(rows: np.ndarray, width: int) -> np.ndarray:
+    return SignatureArray(rows, width=width).bit_frequencies()
+
+
+def _child_frequencies(
+    blocks: np.ndarray,
+    width: int,
+    parent: np.ndarray,
+    zero: np.ndarray,
+    one: np.ndarray,
+    need_zero: bool,
+    need_one: bool,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Bit frequencies of a split's two children, ``None`` where not needed.
+
+    Only the smaller child's rows are counted; the larger child's counts
+    are the parent's minus the smaller's.
+    """
+    if not (need_zero or need_one):
+        return None, None
+    if zero.size <= one.size:
+        counts = _bit_frequencies(blocks[zero], width)
+        return (counts if need_zero else None), (parent - counts if need_one else None)
+    counts = _bit_frequencies(blocks[one], width)
+    return (parent - counts if need_zero else None), (counts if need_one else None)
+
+
 def _pick_pivot(
-    sub: SignatureArray, used: np.ndarray, size: int, strategy: str
+    freq: np.ndarray, used: np.ndarray, size: int, strategy: str
 ) -> int | None:
     """Choose the split bit, or ``None`` if no unused bit can split.
 
+    ``freq`` counts, per bit, the partition's rows having it set.
     ``"balanced"`` is Algorithm 1's rule (frequency closest to 50 %);
     ``"first_unused"`` is the naive alternative the pivot ablation
     compares against (first unused non-degenerate bit position).
     """
-    freq = sub.bit_frequencies()
     splittable = (freq > 0) & (freq < size) & ~used
     if not np.any(splittable):
         return None
@@ -117,25 +144,36 @@ def balanced_partition(
     if n == 0:
         return PartitioningResult([], time.perf_counter() - start, 0)
 
-    arr = SignatureArray(blocks, width=width)
+    blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
     partitions: list[Partition] = []
-    empty_mask = np.zeros(num_words, dtype=np.uint64)
-    # Work queue entries: (mask, row indices, used-bit boolean vector).
-    queue: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque()
-    queue.append((empty_mask, np.arange(n, dtype=np.int64), np.zeros(width, dtype=bool)))
+
+    def is_leaf(mask: np.ndarray, size: int) -> bool:
+        return size == 0 or (size <= max_partition_size and bool(mask.any()))
+
+    # Work queue entries: (mask, row indices, used-bit boolean vector,
+    # per-bit frequencies over those rows).  A leaf carries no
+    # frequencies: it never picks a pivot.  The root (empty mask) is
+    # never a leaf.
+    queue: deque = deque()
+    queue.append(
+        (
+            np.zeros(num_words, dtype=np.uint64),
+            np.arange(n, dtype=np.int64),
+            np.zeros(width, dtype=bool),
+            _bit_frequencies(blocks, width),
+        )
+    )
 
     while queue:
-        mask, indices, used = queue.popleft()
+        mask, indices, used, freq = queue.popleft()
         size = indices.size
         if size == 0:
             continue
-        mask_nonempty = bool(mask.any())
-        if size <= max_partition_size and mask_nonempty:
+        if freq is None:
             partitions.append(Partition(mask=mask, indices=indices))
             continue
 
-        sub = arr.take(indices)
-        pivot = _pick_pivot(sub, used, size, pivot_strategy)
+        pivot = _pick_pivot(freq, used, size, pivot_strategy)
         if pivot is None:
             # Indivisible: accept as-is (possibly oversized or with an
             # empty mask — see module docstring).
@@ -144,12 +182,22 @@ def balanced_partition(
 
         word, offset = divmod(pivot, 64)
         bit = np.uint64(1) << np.uint64(63 - offset)
-        has_bit = (sub.blocks[:, word] & bit) != 0
+        has_bit = (blocks[indices, word] & bit) != 0
         used_next = used.copy()
         used_next[pivot] = True
         mask_one = mask.copy()
         mask_one[word] |= bit
-        queue.append((mask, indices[~has_bit], used_next))
-        queue.append((mask_one, indices[has_bit], used_next))
+        zero, one = indices[~has_bit], indices[has_bit]
+        freq_zero, freq_one = _child_frequencies(
+            blocks,
+            width,
+            freq,
+            zero,
+            one,
+            need_zero=not is_leaf(mask, zero.size),
+            need_one=not is_leaf(mask_one, one.size),
+        )
+        queue.append((mask, zero, used_next, freq_zero))
+        queue.append((mask_one, one, used_next, freq_one))
 
     return PartitioningResult(partitions, time.perf_counter() - start, n)

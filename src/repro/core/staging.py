@@ -9,12 +9,17 @@ unique-signature database that partitioning operates on.
 
 from __future__ import annotations
 
+from itertools import chain, compress
+
 import numpy as np
 
+from repro.bloom.array import unique_rows
 from repro.bloom.hashing import TagHasher
 from repro.errors import ValidationError
 
 __all__ = ["StagingArea", "ConsolidatedDatabase"]
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class ConsolidatedDatabase:
@@ -48,6 +53,10 @@ class ConsolidatedDatabase:
 class StagingArea:
     """Accumulates pending add/remove operations between consolidations.
 
+    Staged adds and removes are kept as array chunks in call order — a
+    bulk call stages one chunk, a single ``add-set`` a one-row chunk — so
+    :meth:`apply` is a handful of NumPy calls however the rows arrived.
+
     With ``store_tags=True`` the original tag sets are retained alongside
     the signatures so the engine can run the optional exact subset check
     that removes Bloom false positives (§3).
@@ -56,11 +65,11 @@ class StagingArea:
     def __init__(self, hasher: TagHasher, store_tags: bool = False) -> None:
         self._hasher = hasher
         self.store_tags = store_tags
-        self._add_blocks: list[tuple[int, ...]] = []
-        self._add_keys: list[int] = []
-        self._add_tags: list[frozenset[str]] = []
-        self._remove_blocks: list[tuple[int, ...]] = []
-        self._remove_keys: list[int] = []
+        #: ``(blocks, keys, tag_sets or None)`` per staging call.
+        self._adds: list[tuple[np.ndarray, np.ndarray, list | None]] = []
+        self._removes: list[tuple[np.ndarray, np.ndarray]] = []
+        self.pending_adds = 0
+        self.pending_removes = 0
 
     # ------------------------------------------------------------------
     # Staging
@@ -68,10 +77,8 @@ class StagingArea:
     def stage_add(self, tags, key: int) -> None:
         """Stage ``add-set(tags, key)``."""
         tags = frozenset(tags)
-        self._add_blocks.append(self._hasher.encode_set(tags))
-        self._add_keys.append(int(key))
-        if self.store_tags:
-            self._add_tags.append(tags)
+        blocks, keys = self._row(self._hasher.encode_set(tags), key)
+        self._push_add(blocks, keys, [tags] if self.store_tags else None)
 
     def stage_add_signature(self, blocks: tuple[int, ...], key: int) -> None:
         """Fast path: stage an already-encoded signature."""
@@ -79,33 +86,22 @@ class StagingArea:
             raise ValidationError(
                 "signature-only staging is incompatible with store_tags"
             )
-        if len(blocks) != self._hasher.num_blocks:
-            raise ValidationError("signature block count mismatch")
-        self._add_blocks.append(tuple(int(b) for b in blocks))
-        self._add_keys.append(int(key))
+        self._push_add(*self._row(blocks, key))
 
     def stage_add_bulk(self, blocks: np.ndarray, keys: np.ndarray) -> None:
         """Fast path: stage many pre-encoded associations at once.
 
         Benchmarks loading hundreds of thousands of workload sets use
-        this to skip per-row Python overhead.
+        this to skip per-row Python overhead.  The arrays are copied, so
+        the caller may reuse them once this returns.
         """
         if self.store_tags:
             raise ValidationError("bulk staging is incompatible with store_tags")
-        blocks = np.ascontiguousarray(blocks, dtype=np.uint64)
-        keys = np.asarray(keys)
-        if blocks.ndim != 2 or blocks.shape[1] != self._hasher.num_blocks:
-            raise ValidationError("signature block count mismatch")
-        if blocks.shape[0] != keys.shape[0]:
-            raise ValidationError("blocks and keys must be parallel")
-        for row, key in zip(blocks, keys):
-            self._add_blocks.append(tuple(int(w) for w in row))
-            self._add_keys.append(int(key))
+        self._push_add(*self._bulk(blocks, keys))
 
     def stage_remove(self, tags, key: int) -> None:
         """Stage ``remove-set(tags, key)``."""
-        self._remove_blocks.append(self._hasher.encode_set(tags))
-        self._remove_keys.append(int(key))
+        self._push_remove(*self._row(self._hasher.encode_set(tags), key))
 
     def stage_remove_signature(self, blocks, key: int) -> None:
         """Fast path: stage a removal by pre-encoded signature.
@@ -115,24 +111,48 @@ class StagingArea:
         gone by reconsolidation time, so folding a tombstone back into
         the staging area has to work from the signature alone.
         """
-        blocks = tuple(int(b) for b in np.asarray(blocks).reshape(-1))
-        if len(blocks) != self._hasher.num_blocks:
-            raise ValidationError("signature block count mismatch")
-        self._remove_blocks.append(blocks)
-        self._remove_keys.append(int(key))
+        self._push_remove(*self._row(blocks, key))
 
-    @property
-    def pending_adds(self) -> int:
-        return len(self._add_blocks)
-
-    @property
-    def pending_removes(self) -> int:
-        return len(self._remove_blocks)
+    def stage_remove_bulk(self, blocks: np.ndarray, keys: np.ndarray) -> None:
+        """Stage one removal per ``(blocks[i], keys[i])`` pair."""
+        self._push_remove(*self._bulk(blocks, keys))
 
     @property
     def dirty(self) -> bool:
         """True when staged operations have not been consolidated yet."""
-        return bool(self._add_blocks or self._remove_blocks)
+        return bool(self.pending_adds or self.pending_removes)
+
+    def _row(self, blocks, key: int) -> tuple[np.ndarray, np.ndarray]:
+        row = np.array(blocks, dtype=np.uint64).reshape(1, -1)
+        if row.shape[1] != self._hasher.num_blocks:
+            raise ValidationError("signature block count mismatch")
+        return row, np.array([int(key)], dtype=np.int64)
+
+    def _bulk(self, blocks, keys) -> tuple[np.ndarray, np.ndarray]:
+        blocks = np.array(blocks, dtype=np.uint64)
+        keys = np.asarray(keys)
+        if blocks.ndim != 2 or blocks.shape[1] != self._hasher.num_blocks:
+            raise ValidationError("signature block count mismatch")
+        if keys.ndim != 1 or not np.issubdtype(keys.dtype, np.integer):
+            raise ValidationError(
+                f"keys must be a 1-D integer array, got {keys.dtype} "
+                f"with shape {keys.shape}"
+            )
+        if blocks.shape[0] != keys.shape[0]:
+            raise ValidationError("blocks and keys must be parallel")
+        if keys.dtype == np.uint64 and keys.size and keys.max() > _INT64_MAX:
+            raise ValidationError("keys must fit in int64")
+        return blocks, keys.astype(np.int64)
+
+    def _push_add(self, blocks, keys, tag_sets=None) -> None:
+        if len(keys):
+            self._adds.append((blocks, keys, tag_sets))
+            self.pending_adds += len(keys)
+
+    def _push_remove(self, blocks, keys) -> None:
+        if len(keys):
+            self._removes.append((blocks, keys))
+            self.pending_removes += len(keys)
 
     # ------------------------------------------------------------------
     # Consolidation
@@ -143,51 +163,79 @@ class StagingArea:
         Each staged remove deletes *one* matching ``(signature, key)``
         association (matching the interface's multiset semantics); a
         remove with no matching association is ignored, like deleting a
-        non-existent row.
+        non-existent row.  With ``c`` removes staged for one pair, the
+        first ``c`` of its rows (in database-then-staging order) go.
         """
-        num_blocks = self._hasher.num_blocks
-        parts = []
-        key_parts = []
-        tag_sets: list[frozenset[str]] | None = [] if self.store_tags else None
+        chunks = list(self._adds)
         if current is not None and len(current):
-            parts.append(current.blocks)
-            key_parts.append(current.keys)
-            if tag_sets is not None:
-                if current.tag_sets is None:
-                    raise ValidationError(
-                        "store_tags staging applied to a database without tag sets"
-                    )
-                tag_sets.extend(current.tag_sets)
-        if self._add_blocks:
-            parts.append(np.array(self._add_blocks, dtype=np.uint64))
-            key_parts.append(np.array(self._add_keys, dtype=np.int64))
-            if tag_sets is not None:
-                tag_sets.extend(self._add_tags)
-        if parts:
-            blocks = np.vstack(parts)
-            keys = np.concatenate(key_parts)
+            if self.store_tags and current.tag_sets is None:
+                raise ValidationError(
+                    "store_tags staging applied to a database without tag sets"
+                )
+            chunks.insert(0, (current.blocks, current.keys, current.tag_sets))
+        if chunks:
+            blocks = _concat([c[0] for c in chunks])
+            keys = _concat([c[1] for c in chunks])
         else:
-            blocks = np.empty((0, num_blocks), dtype=np.uint64)
+            blocks = np.empty((0, self._hasher.num_blocks), dtype=np.uint64)
             keys = np.empty(0, dtype=np.int64)
+        tag_sets = None
+        if self.store_tags:
+            tag_sets = list(chain.from_iterable(c[2] for c in chunks))
 
-        if self._remove_blocks:
-            alive = np.ones(len(keys), dtype=bool)
-            for sig, key in zip(self._remove_blocks, self._remove_keys):
-                hits = np.nonzero(
-                    alive
-                    & (keys == key)
-                    & np.all(blocks == np.array(sig, dtype=np.uint64), axis=1)
-                )[0]
-                if hits.size:
-                    alive[hits[0]] = False
+        if self._removes:
+            alive = _surviving_rows(
+                blocks,
+                keys,
+                _concat([r[0] for r in self._removes]),
+                _concat([r[1] for r in self._removes]),
+            )
             blocks = blocks[alive]
             keys = keys[alive]
             if tag_sets is not None:
-                tag_sets = [ts for ts, ok in zip(tag_sets, alive) if ok]
+                tag_sets = list(compress(tag_sets, alive))
 
-        self._add_blocks.clear()
-        self._add_keys.clear()
-        self._add_tags.clear()
-        self._remove_blocks.clear()
-        self._remove_keys.clear()
+        self._adds.clear()
+        self._removes.clear()
+        self.pending_adds = self.pending_removes = 0
         return ConsolidatedDatabase(blocks, keys, tag_sets)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _surviving_rows(
+    blocks: np.ndarray,
+    keys: np.ndarray,
+    remove_blocks: np.ndarray,
+    remove_keys: np.ndarray,
+) -> np.ndarray:
+    """Boolean mask of the rows that survive the staged removes.
+
+    Rows and removes are grouped by their ``(signature, key)`` pair; a
+    row survives unless it is among the first ``c`` rows of its group,
+    where ``c`` counts the removes staged for that pair.  This is what
+    applying the removes one at a time, each deleting the first alive
+    match, leaves behind.
+    """
+    alive = np.ones(keys.size, dtype=bool)
+    candidates = np.flatnonzero(np.isin(keys, remove_keys))
+    if candidates.size == 0:
+        return alive
+    pairs = np.concatenate(
+        [
+            np.column_stack([blocks[candidates], keys[candidates].astype(np.uint64)]),
+            np.column_stack([remove_blocks, remove_keys.astype(np.uint64)]),
+        ]
+    )
+    unique, group = unique_rows(pairs)
+    row_group, remove_group = group[: candidates.size], group[candidates.size :]
+    quota = np.bincount(remove_group, minlength=unique.shape[0])
+    # Rank of each candidate among the rows of its group, in row order.
+    order = np.argsort(row_group, kind="stable")
+    ordered = row_group[order]
+    rank = np.empty(candidates.size, dtype=np.int64)
+    rank[order] = np.arange(candidates.size) - np.searchsorted(ordered, ordered)
+    alive[candidates[rank < quota[row_group]]] = False
+    return alive

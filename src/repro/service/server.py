@@ -474,22 +474,11 @@ class MatchServer:
         old: TagMatch,
     ) -> TagMatch:
         """Fold frozen ∪ adds − tombstones into a fresh engine."""
-        blocks = (
-            np.vstack([db_blocks, view.add_blocks])
-            if view.add_keys.size
-            else db_blocks
-        )
-        keys = (
-            np.concatenate([db_keys, view.add_keys])
-            if view.add_keys.size
-            else db_keys
-        )
         engine = TagMatch(old.config)
         engine.epoch = old.epoch  # consolidate() bumps: epochs stay monotonic
-        if len(blocks):
-            engine.add_signatures(blocks, keys)
-        for row, key in zip(view.tomb_blocks, view.tomb_keys):
-            engine.remove_signature(row, int(key))
+        engine.add_signatures(db_blocks, db_keys)
+        engine.add_signatures(view.add_blocks, view.add_keys)
+        engine.remove_signatures(view.tomb_blocks, view.tomb_keys)
         engine.consolidate()
         return engine
 

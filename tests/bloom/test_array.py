@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bloom.array import SignatureArray
+from repro.bloom.array import SignatureArray, unique_rows
 from repro.bloom.filter import BloomSignature
 from repro.bloom.hashing import TagHasher
 from repro.errors import ValidationError
@@ -159,6 +159,38 @@ class TestUniqueAndTake:
         assert len(uniq) == 2
         restored = uniq.blocks[inverse]
         np.testing.assert_array_equal(restored, arr.blocks)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["empty", "one_row", "all_duplicates", "high_bits", "workload"],
+    )
+    def test_unique_rows_equals_numpy_unique(self, name):
+        if name == "workload":
+            from repro.workloads.workload import generate_twitter_workload
+
+            blocks = generate_twitter_workload(2000, seed=3).blocks
+        else:
+            blocks = {
+                "empty": np.zeros((0, 3), dtype=np.uint64),
+                "one_row": np.array([[5, 0, 9]], dtype=np.uint64),
+                "all_duplicates": np.tile(np.array([[1, 2, 3]], np.uint64), (7, 1)),
+                # values above 2**63 must sort as unsigned, like np.unique
+                "high_bits": np.array(
+                    [[2**63, 1], [1, 2**64 - 1], [2**63, 0], [1, 2**64 - 1]],
+                    dtype=np.uint64,
+                ),
+            }[name]
+        want_rows, want_inverse = np.unique(blocks, axis=0, return_inverse=True)
+        rows, inverse = unique_rows(blocks)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert np.array_equal(rows, want_rows)
+        want_inverse = want_inverse.reshape(-1)
+        assert inverse.dtype == want_inverse.dtype
+        assert np.array_equal(inverse, want_inverse)
+
+    def test_unique_rows_rejects_1d(self):
+        with pytest.raises(ValidationError):
+            unique_rows(np.zeros(3, dtype=np.uint64))
 
     def test_take(self):
         arr = sig_array([[1], [2], [3]])

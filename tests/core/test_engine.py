@@ -85,6 +85,30 @@ class TestBulkAndBatch:
         engine.consolidate()
         assert engine.match({"a"}).tolist() == [10]
 
+    def test_staged_arrays_do_not_alias_caller_arrays(self, engine):
+        """Arrays mutated after staging must not reach the index."""
+        blocks = engine.hasher.encode_sets([["a"], ["b"], ["a", "b"], ["c"]])
+        keys = np.array([1, 2, 3, 4], dtype=np.int64)
+        removed, removed_keys = blocks[:1].copy(), np.array([1])
+        queries = engine.encode_queries([{"a", "b"}, {"c"}, {"a", "c"}])
+        with TagMatch(engine.config) as reference:
+            reference.add_signatures(blocks[1:].copy(), keys[1:].copy())
+            reference.consolidate()
+
+            engine.add_signatures(blocks, keys)
+            engine.remove_signatures(removed, removed_keys)
+            blocks[:] = engine.hasher.encode_sets([["x"]] * 4)
+            keys[:] = 99
+            removed[:] = blocks[1]
+            removed_keys[:] = 2
+            engine.consolidate()
+
+            assert np.array_equal(engine.database.blocks, reference.database.blocks)
+            assert np.array_equal(engine.database.keys, reference.database.keys)
+            for got, want in zip(engine.match_batch(queries), reference.match_batch(queries)):
+                assert sorted(got.tolist()) == sorted(want.tolist())
+            assert sorted(engine.match({"a", "b"}).tolist()) == [2, 3]
+
     def test_match_batch_agrees_with_match(self, engine):
         build_small(engine)
         tag_sets = [{"cats", "memes"}, {"rust", "x"}, {"none"}]

@@ -1,11 +1,13 @@
 """Tests for Algorithm 1 (balanced recursive partitioning)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.array import SignatureArray
+from repro.bloom.array import SignatureArray, unique_rows
 from repro.bloom.filter import BloomSignature
 from repro.core.partitioning import balanced_partition
 from repro.errors import ValidationError
@@ -169,3 +171,69 @@ def test_partitioning_invariants_property(data, max_p):
     blocks = blocks_from_bits(data)
     result = balanced_partition(blocks, max_partition_size=max_p, width=WIDTH)
     check_invariants(blocks, result)
+
+
+# ----------------------------------------------------------------------
+# Bit-count reuse against a reference copy of the recount-everything loop
+# ----------------------------------------------------------------------
+def reference_partition(blocks, max_partition_size, width, pivot_strategy="balanced"):
+    """Algorithm 1 recounting every node's bits from its rows.
+
+    Returns ``(mask, indices)`` pairs in the order the queue emits them.
+    """
+    arr = SignatureArray(blocks, width=width)
+    out = []
+    queue = deque(
+        [(np.zeros(blocks.shape[1], np.uint64), np.arange(len(blocks)), np.zeros(width, bool))]
+    )
+    while queue:
+        mask, indices, used = queue.popleft()
+        size = indices.size
+        if size == 0:
+            continue
+        if size <= max_partition_size and mask.any():
+            out.append((mask, indices))
+            continue
+        sub = arr.take(indices)
+        freq = sub.bit_frequencies()
+        splittable = (freq > 0) & (freq < size) & ~used
+        if not splittable.any():
+            out.append((mask, indices))
+            continue
+        if pivot_strategy == "first_unused":
+            pivot = int(np.argmax(splittable))
+        else:
+            distance = np.abs(freq - size / 2.0).astype(float)
+            distance[~splittable] = np.inf
+            pivot = int(np.argmin(distance))
+        word, offset = divmod(pivot, 64)
+        bit = np.uint64(1) << np.uint64(63 - offset)
+        has_bit = (sub.blocks[:, word] & bit) != 0
+        used_next = used.copy()
+        used_next[pivot] = True
+        mask_one = mask.copy()
+        mask_one[word] |= bit
+        queue.append((mask, indices[~has_bit], used_next))
+        queue.append((mask_one, indices[has_bit], used_next))
+    return out
+
+
+@pytest.mark.parametrize(
+    "users, max_p, strategy",
+    [
+        (3000, 500, "balanced"),
+        (3000, 40, "balanced"),
+        (3000, 1, "balanced"),
+        (3000, 200, "first_unused"),
+    ],
+)
+def test_frequency_reuse_matches_reference_on_twitter_workload(users, max_p, strategy):
+    from repro.workloads.workload import generate_twitter_workload
+
+    blocks, _ = unique_rows(generate_twitter_workload(users, seed=11).blocks)
+    got = balanced_partition(blocks, max_p, WIDTH, pivot_strategy=strategy).partitions
+    want = reference_partition(blocks, max_p, WIDTH, pivot_strategy=strategy)
+    assert len(got) == len(want)
+    for part, (mask, indices) in zip(got, want):
+        assert np.array_equal(part.mask, mask)
+        assert np.array_equal(part.indices, indices)

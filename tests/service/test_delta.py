@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bloom.array import unique_rows
 from repro.bloom.hashing import TagHasher
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
 from repro.service.delta import DeltaStore, apply_delta
+from repro.service.server import MatchServer
 
 CONFIG = TagMatchConfig(max_partition_size=8, num_gpus=1, batch_timeout_s=None)
 HASHER = TagHasher(
@@ -123,24 +125,10 @@ def test_fold_protocol_preserves_answers(initial, before, during, queries):
         captured = delta.mark_fold()
         for op, (tags, key) in during:
             apply(op, tags, key)
-        # Rebuild exactly as MatchServer._rebuild does, from the captured view.
-        blocks = (
-            np.vstack([frozen.database.blocks, captured.add_blocks])
-            if captured.add_keys.size
-            else frozen.database.blocks
+        rebuilt = MatchServer._rebuild(
+            frozen.database.blocks, frozen.database.keys, captured, frozen
         )
-        keys = (
-            np.concatenate([frozen.database.keys, captured.add_keys])
-            if captured.add_keys.size
-            else frozen.database.keys
-        )
-        rebuilt = TagMatch(CONFIG)
         engines.append(rebuilt)
-        if len(blocks):
-            rebuilt.add_signatures(blocks, keys)
-        for row, key in zip(captured.tomb_blocks, captured.tomb_keys):
-            rebuilt.remove_signature(row, int(key))
-        rebuilt.consolidate()
         delta.complete_fold(rebuilt.database.blocks, rebuilt.database.keys)
 
         query_blocks = np.vstack([_encode(q) for q in queries])
@@ -148,6 +136,76 @@ def test_fold_protocol_preserves_answers(initial, before, during, queries):
         expected = _oracle_results(reference, query_blocks, unique=False)
         for got, want in zip(served, expected):
             assert np.array_equal(np.sort(got), np.sort(want))
+    finally:
+        for engine in engines:
+            engine.close()
+
+
+def _sorted_rows(database):
+    """The database's (signature, key) rows as a sorted multiset."""
+    rows = np.column_stack([database.blocks, database.keys.astype(np.uint64)])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    initial=st.lists(assoc, min_size=1, max_size=8),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["sub", "unsub"]), assoc),
+            # unsubscribe an initial association: a tombstone on the frozen index
+            st.tuples(st.just("unsub_frozen"), st.integers(0, 7)),
+        ),
+        max_size=12,
+    ),
+    queries=st.lists(tag_sets, min_size=1, max_size=3),
+)
+def test_bulk_tombstone_rebuild_equals_fresh_engine(initial, ops, queries):
+    """MatchServer._rebuild folds every tombstone in one bulk removal;
+    the index it builds is the one a fresh engine builds from the same
+    final database."""
+    frozen = _fresh_engine(initial)
+    engines = [frozen]
+    try:
+        delta = DeltaStore(HASHER.num_blocks)
+        delta.rebase(frozen.database.blocks, frozen.database.keys)
+        reference = list(initial)
+        for op, arg in ops:
+            tags, key = initial[arg % len(initial)] if op == "unsub_frozen" else arg
+            if op == "sub":
+                delta.subscribe(_encode(tags), key)
+                reference.append((tags, key))
+            elif delta.unsubscribe(_encode(tags), key):
+                reference.remove((tags, key))
+        rebuilt = MatchServer._rebuild(
+            frozen.database.blocks, frozen.database.keys, delta.view(), frozen
+        )
+        engines.append(rebuilt)
+        assert rebuilt.epoch == frozen.epoch + 1
+        if not reference:
+            assert len(rebuilt.database) == 0
+            return
+        fresh = _fresh_engine(reference)
+        engines.append(fresh)
+        assert np.array_equal(_sorted_rows(rebuilt.database), _sorted_rows(fresh.database))
+        rebuilt_sets, _ = unique_rows(rebuilt.database.blocks)
+        fresh_sets, _ = unique_rows(fresh.database.blocks)
+        assert np.array_equal(rebuilt_sets, fresh_sets)
+        got = rebuilt.last_consolidate.partitioning.partitions
+        want = fresh.last_consolidate.partitioning.partitions
+        assert [(p.mask.tolist(), p.indices.tolist()) for p in got] == [
+            (p.mask.tolist(), p.indices.tolist()) for p in want
+        ]
+        query_blocks = np.vstack([_encode(q) for q in queries])
+        for mine, theirs in zip(
+            rebuilt.match_stream(query_blocks).results,
+            fresh.match_stream(query_blocks).results,
+        ):
+            assert np.array_equal(np.sort(mine), np.sort(theirs))
     finally:
         for engine in engines:
             engine.close()
