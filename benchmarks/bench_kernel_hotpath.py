@@ -1,4 +1,4 @@
-"""Kernel hot-path sweep: fused launches, coarse pre-filter, memoization.
+"""Kernel hot-path sweep: fused launches and the coarse pre-filter.
 
 Runs two adversarial workloads against every hot-path knob combination
 and writes machine-readable ``BENCH_kernel.json`` at the repo root, plus
@@ -11,8 +11,10 @@ the usual text table under ``benchmarks/results/kernel_hotpath.txt``:
   the kernel-stage wall clock by well over the 1.5x acceptance bar.
 * ``duplicate_heavy`` — a query stream drawn from a small pool of
   distinct signatures (the paper's §4.2.1 duplicate-interest
-  observation).  Batch canonicalisation (``query_memo_size > 0``)
-  deduplicates each batch before the device sees it.
+  observation) against large partitions and full 256-query batches,
+  where per-query kernel work dominates.  Duplicate queries are
+  memoized only in the serving layer (``QueryMemo``), which this
+  engine-level sweep does not exercise.
 
 Each workload is swept with every optimisation off (the baseline), each
 optimisation alone, and all of them together; results are always
@@ -47,13 +49,10 @@ DEFAULT_JSON = os.path.join(REPO_ROOT, "BENCH_kernel.json")
 
 #: Knob combinations: all off (the baseline), one at a time, all on.
 VARIANTS = {
-    "all_off": dict(fuse_partitions_below=0, coarse_prefilter=False, query_memo_size=0),
-    "fused": dict(fuse_partitions_below=64, coarse_prefilter=False, query_memo_size=0),
-    "coarse": dict(fuse_partitions_below=0, coarse_prefilter=True, query_memo_size=0),
-    "memo": dict(fuse_partitions_below=0, coarse_prefilter=False, query_memo_size=256),
-    "all_on": dict(
-        fuse_partitions_below=64, coarse_prefilter=True, query_memo_size=256
-    ),
+    "all_off": dict(fuse_partitions_below=0, coarse_prefilter=False),
+    "fused": dict(fuse_partitions_below=64, coarse_prefilter=False),
+    "coarse": dict(fuse_partitions_below=0, coarse_prefilter=True),
+    "all_on": dict(fuse_partitions_below=64, coarse_prefilter=True),
 }
 
 
@@ -83,7 +82,7 @@ def small_partition_engine(knobs: dict, *, num_sets: int) -> TagMatch:
 
 
 def small_partition_queries(engine: TagMatch, num_queries: int) -> np.ndarray:
-    """Distinct wide queries — every signature unique, no memo help."""
+    """Distinct wide queries — every signature unique."""
     rng = np.random.default_rng(7)
     tag_sets = [
         {f"tag-{c}" for c in rng.choice(400, size=12, replace=False)}
@@ -94,7 +93,7 @@ def small_partition_queries(engine: TagMatch, num_queries: int) -> np.ndarray:
 
 def duplicate_heavy_engine(knobs: dict, *, num_sets: int) -> TagMatch:
     """Large partitions and full 256-query batches: per-query kernel work
-    dominates, which is exactly what batch deduplication removes."""
+    dominates."""
     engine = TagMatch(
         TagMatchConfig(
             max_partition_size=256,
@@ -204,7 +203,7 @@ def sweep(smoke: bool, json_path: str) -> ExperimentResult:
 
     return ExperimentResult(
         name="kernel_hotpath",
-        title="Kernel hot-path ablation (fused launches / coarse filter / memo)",
+        title="Kernel hot-path ablation (fused launches / coarse filter)",
         headers=[
             "workload",
             "variant",
@@ -218,11 +217,9 @@ def sweep(smoke: bool, json_path: str) -> ExperimentResult:
         notes=(
             "speedup = kernel-stage wall clock vs the all-off baseline of the\n"
             "same workload.  Acceptance bar: fused >= 1.5x on small_partition "
-            f"(got {speedup('small_partition', 'fused'):.2f}x), memo >= 1.5x on\n"
-            f"duplicate_heavy (got {speedup('duplicate_heavy', 'memo'):.2f}x).  "
-            "Fused launches amortise per-launch overhead across partitions\n"
-            "(paper Fig. 7 small-partition regime); memoization exploits "
-            "duplicate interests (paper sec. 4.2.1).\n"
+            f"(got {speedup('small_partition', 'fused'):.2f}x).\n"
+            "Fused launches amortise per-launch overhead across partitions "
+            "(paper Fig. 7 small-partition regime).\n"
             "The coarse filter's win is pre-process selectivity (fewer "
             "launches, higher qps); its kernel-wall column is pessimistic\n"
             "because walls are measured inside concurrently scheduled "

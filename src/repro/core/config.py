@@ -59,12 +59,10 @@ class TagMatchConfig:
         member, together with each thread block's lexicographic lower
         bound.  Results are bitwise identical with the filter on or off.
     query_memo_size:
-        Duplicate-query memoization.  ``> 0`` canonicalises each GPU
-        batch at build time (byte-identical queries are matched once and
-        fanned back out at the lookup/merge stage) and sizes the serving
-        layer's LRU of frozen-index results keyed on
-        ``(epoch, signature)`` — repeated firehose publishes skip the
-        device entirely.  ``0`` disables both.
+        Size of the serving layer's duplicate-query memo: an LRU of
+        frozen-index results keyed on ``(epoch, signature)``, so a
+        repeated publish skips the device entirely.  ``0`` disables it.
+        The engine's own match paths do not read it.
     replicate_tagset_table:
         ``True`` replicates the tagset table on every GPU (maximal
         inter-GPU parallelism); ``False`` splits partitions across GPUs,
@@ -73,6 +71,12 @@ class TagMatchConfig:
         Re-check every Bloom match against the original tag sets, making
         results exact at the cost of storing the sets (§3: "the system or
         the application can perform an additional exact subset check").
+        The check runs per (tag set, key) association, so a set whose
+        signature collides with a subset's contributes no keys.  Only
+        ``match``/``match_unique`` receive the query's tags; the
+        signature-only paths (``match_batch``, ``match_stream``,
+        ``add_signatures``, snapshots, the serving layer) refuse an
+        exact-check engine with ``ValidationError``.
     backend:
         Execution backend for the kernel stage: ``"inline"`` (in the
         stream thread, the historical behaviour), ``"thread"`` (shared
@@ -196,9 +200,6 @@ class ServiceConfig:
         ``reconsolidate`` admin verb still works).
     reconsolidate_interval_s:
         How often the background task checks the threshold.
-    latency_window:
-        Retained for compatibility with the seed's latency reservoir;
-        the fixed-bucket histograms need no sample window.
     max_frame_bytes:
         Hard cap on one protocol frame (guards the length prefix).
     trace:
@@ -225,7 +226,6 @@ class ServiceConfig:
     match_threads: int = 2
     reconsolidate_threshold: int = 512
     reconsolidate_interval_s: float = 0.25
-    latency_window: int = 4096
     max_frame_bytes: int = 8 * 1024 * 1024
     trace: bool = True
     metrics_port: int | None = None
@@ -257,8 +257,6 @@ class ServiceConfig:
             raise ValidationError("reconsolidate_threshold must be non-negative")
         if self.reconsolidate_interval_s <= 0:
             raise ValidationError("reconsolidate_interval_s must be positive")
-        if self.latency_window <= 0:
-            raise ValidationError("latency_window must be positive")
         if self.max_frame_bytes <= 0:
             raise ValidationError("max_frame_bytes must be positive")
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:

@@ -26,7 +26,7 @@ from repro.core.staging import ConsolidatedDatabase, StagingArea
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ConsolidationError, DeviceError, ValidationError
 from repro.gpu.device import Device
-from repro.gpu.kernels import subset_match_kernel
+from repro.gpu.packing import unpack_results
 from repro.parallel.backend import ExecutionBackend, create_backend
 
 __all__ = ["TagMatch", "ConsolidateReport", "MemoryUsage"]
@@ -79,7 +79,8 @@ class TagMatch:
         self._store_tags = self.config.exact_check
         self._staging = StagingArea(self.hasher, store_tags=self._store_tags)
         self._database: ConsolidatedDatabase | None = None
-        self._exact_sets: dict[int, list[frozenset[str]]] = {}
+        #: Exact-check mode: the original tag set of every key-table slot.
+        self._exact_tags: list[frozenset[str]] = []
         self.key_table: KeyTable | None = None
         self.partition_table: PartitionTable | None = None
         self.tagset_table: TagsetTable | None = None
@@ -151,10 +152,13 @@ class TagMatch:
         self.key_table = KeyTable.from_grouped(inverse, keys, unique_blocks.shape[0])
 
         if self._store_tags:
-            self._exact_sets = {}
-            assert self._database.tag_sets is not None
-            for row, tags in zip(inverse, self._database.tag_sets):
-                self._exact_sets.setdefault(int(row), []).append(tags)
+            # The same grouping as the key table, over row numbers: slot
+            # i of the key table holds the key of database row rows[i].
+            rows = KeyTable.from_grouped(
+                inverse, np.arange(len(keys)), unique_blocks.shape[0]
+            ).keys
+            tag_sets = self._database.tag_sets
+            self._exact_tags = [tag_sets[row] for row in rows.tolist()]
 
         partitioning = balanced_partition(
             unique_blocks,
@@ -278,88 +282,92 @@ class TagMatch:
 
     def match(self, tags) -> np.ndarray:
         """All keys whose tag set is a subset of ``tags`` (multiset)."""
-        return self._match_one(tags, unique=False)
+        return self._match_tags(tags, unique=False)
 
     def match_unique(self, tags) -> np.ndarray:
         """Distinct keys with at least one indexed subset of ``tags``."""
-        return self._match_one(tags, unique=True)
+        return self._match_tags(tags, unique=True)
 
-    def _match_one(self, tags, unique: bool) -> np.ndarray:
-        self._check_consolidated()
-        query = self.encode(tags)
-        tag_set = frozenset(tags) if self._store_tags else None
-        relevant = self.partition_table.relevant_partitions(query)
-        chunks: list[np.ndarray] = []
-        batch = query.reshape(1, -1)
-        for uid in self.tagset_table.units_for(relevant):
-            residency = self.tagset_table.unit_residency(int(uid))
-            result = subset_match_kernel(
-                residency.sets.array(),
-                residency.ids.array(),
-                batch,
-                thread_block_size=self.config.thread_block_size,
-                prefilter=self.config.prefilter,
-                cost_model=residency.device.cost_model,
-                clock=residency.device.clock,
-                prefixes=residency.prefixes.array(),
-                block_offsets=residency.block_offsets.array(),
-                member_commons=residency.commons.array(),
-                member_of_block=residency.member_of_block.array(),
-                coarse=self.config.coarse_prefilter,
-            )
-            set_ids = result.set_ids.astype(np.int64)
-            if self._store_tags and set_ids.size:
-                set_ids = self._exact_filter(set_ids, tag_set)
-            if set_ids.size:
-                # Single-query batch: every pair belongs to query 0, so
-                # this takes grouped_key_lookup's single-group fast path.
-                for _, keys in grouped_key_lookup(
-                    np.zeros(set_ids.size, dtype=np.uint8), set_ids, self.key_table
-                ):
-                    chunks.append(keys)
-        return merge_keys(chunks, unique)
-
-    def _exact_filter(self, set_ids: np.ndarray, query_tags: frozenset) -> np.ndarray:
-        """Drop Bloom false positives using the stored original sets."""
-        keep = [
-            sid
-            for sid in set_ids
-            if any(ts <= query_tags for ts in self._exact_sets.get(int(sid), []))
-        ]
-        return np.array(keep, dtype=np.int64)
+    def _match_tags(self, tags, unique: bool) -> np.ndarray:
+        query = self.encode(tags).reshape(1, -1)
+        query_tags = [frozenset(tags)] if self._store_tags else None
+        return self._match_core(query, unique, query_tags)[0]
 
     def match_batch(self, query_blocks: np.ndarray, unique: bool = False) -> list[np.ndarray]:
-        """Synchronous batched matching (no pipeline threads).
+        """Synchronous batched matching in the caller's thread (no
+        pipeline threads).  ``query_blocks`` is an ``(n, blocks)`` array.
+        """
+        self._refuse_exact("match_batch")
+        return self._match_core(query_blocks, unique)
 
-        Deterministic and single-threaded; used by tests and the CPU-only
-        baseline.  ``query_blocks`` is an ``(n, blocks)`` array.
+    def _match_core(
+        self,
+        query_blocks: np.ndarray,
+        unique: bool,
+        query_tags: list[frozenset] | None = None,
+    ) -> list[np.ndarray]:
+        """The synchronous match walk behind ``match``, ``match_unique``
+        and ``match_batch``.
+
+        Stage 1 marks each query's relevant dispatch units in one scan.
+        Each relevant unit then gets one kernel launch per
+        ``batch_size`` queries routed to it, through the pipeline's
+        launch site (stage 2).  The returned pairs become keys (stage 3)
+        and every query's chunks are merged (stage 4).  With
+        ``query_tags`` (exact-check engines) stage 3 keeps a key only if
+        its own tag set is a subset of the query's tags.
         """
         self._check_consolidated()
-        out: list[np.ndarray] = []
-        for row in query_blocks:
-            relevant = self.partition_table.relevant_partitions(row)
-            chunks: list[np.ndarray] = []
-            batch = row.reshape(1, -1)
-            for uid in self.tagset_table.units_for(relevant):
-                residency = self.tagset_table.unit_residency(int(uid))
-                result = subset_match_kernel(
-                    residency.sets.array(),
-                    residency.ids.array(),
-                    batch,
-                    thread_block_size=self.config.thread_block_size,
-                    prefilter=self.config.prefilter,
-                    prefixes=residency.prefixes.array(),
-                    block_offsets=residency.block_offsets.array(),
-                    member_commons=residency.commons.array(),
-                    member_of_block=residency.member_of_block.array(),
-                    coarse=self.config.coarse_prefilter,
-                )
-                if result.set_ids.size:
-                    chunks.append(
-                        self.key_table.keys_of_many(result.set_ids.astype(np.int64))
+        pipeline = self.pipeline
+        relevant = pipeline.relevant_units(query_blocks)
+        chunks: list[list[np.ndarray]] = [[] for _ in range(query_blocks.shape[0])]
+        step = self.config.batch_size
+        for unit_id in np.flatnonzero(relevant.any(axis=0)).tolist():
+            routed = np.flatnonzero(relevant[:, unit_id])
+            for lo in range(0, routed.size, step):
+                members = routed[lo : lo + step]
+                residency = self.tagset_table.unit_residency(unit_id)
+                result = pipeline.launch(unit_id, query_blocks[members], residency)
+                if not result.num_pairs:
+                    continue
+                residency.device.charge_dtoh(result.packed.nbytes)
+                q_ids, set_ids = unpack_results(result.packed, result.num_pairs)
+                set_ids = set_ids.astype(np.int64)
+                if query_tags is None:
+                    groups = grouped_key_lookup(q_ids, set_ids, self.key_table)
+                else:
+                    groups = self._exact_keys(
+                        q_ids, set_ids, [query_tags[m] for m in members]
                     )
-            out.append(merge_keys(chunks, unique))
-        return out
+                for local_q, keys in groups:
+                    chunks[members[local_q]].append(keys)
+        return [merge_keys(query_chunks, unique) for query_chunks in chunks]
+
+    def _exact_keys(
+        self, q_ids: np.ndarray, set_ids: np.ndarray, query_tags: list[frozenset]
+    ) -> list[tuple[int, np.ndarray]]:
+        """The §3 exact check, per association: of each matched set's
+        keys, keep those whose own tag set is a subset of the query's.
+
+        Checking per set instead would leak the keys of a non-subset tag
+        set whose signature collides with a subset's.
+        """
+        offsets = self.key_table.offsets
+        keys = self.key_table.keys
+        kept: dict[int, list[int]] = {}
+        for q, sid in zip(q_ids.tolist(), set_ids.tolist()):
+            tags = query_tags[q]
+            for slot in range(offsets[sid], offsets[sid + 1]):
+                if self._exact_tags[slot] <= tags:
+                    kept.setdefault(q, []).append(int(keys[slot]))
+        return [(q, np.array(k, dtype=np.int64)) for q, k in kept.items()]
+
+    def _refuse_exact(self, entry_point: str) -> None:
+        if self._store_tags:
+            raise ValidationError(
+                f"{entry_point} takes signatures only and cannot run the "
+                "exact check (exact_check engines answer match/match_unique)"
+            )
 
     def match_stream(
         self,
@@ -373,6 +381,7 @@ class TagMatch:
         (``num_threads``, ``batch_timeout_s``, ``arrival_rate_qps``).
         """
         self._check_consolidated()
+        self._refuse_exact("match_stream")
         assert self.pipeline is not None
         return self.pipeline.run(query_blocks, unique=unique, **pipeline_kwargs)
 

@@ -35,7 +35,12 @@ from repro.gpu.doublebuffer import CycleResult, DoubleBufferedResults
 from repro.obs import trace
 from repro.gpu.packing import unpack_results
 from repro.gpu.stream import Stream
-from repro.parallel.backend import ExecutionBackend, InlineBackend, KernelParams
+from repro.parallel.backend import (
+    ExecutionBackend,
+    InlineBackend,
+    KernelOutput,
+    KernelParams,
+)
 
 __all__ = ["MatchPipeline", "PipelineRun", "PipelineStats", "grouped_key_lookup"]
 
@@ -180,6 +185,53 @@ class MatchPipeline:
         self._tls = threading.local()
 
     # ------------------------------------------------------------------
+    # The steps every match path shares
+    # ------------------------------------------------------------------
+    def relevant_units(self, rows: np.ndarray) -> np.ndarray:
+        """Stage 1 over a block of queries: ``(n, num_units)`` relevance.
+
+        Vectorized Algorithm 2: one dense scan of the compact mask matrix,
+        offloaded to the execution backend's workers when it supports
+        that.  With partition fusing the partition columns collapse to
+        dispatch units: a unit is relevant when any member partition is.
+        """
+        matrix = self.backend.relevant_matrix(rows)
+        if matrix is None:
+            matrix = self.partition_table.relevant_matrix(rows)
+        if self.tagset_table.num_units != self.partition_table.num_partitions:
+            matrix = np.logical_or.reduceat(matrix, self.tagset_table.unit_starts, axis=1)
+        return matrix
+
+    def launch(
+        self,
+        unit_id: int,
+        queries: np.ndarray,
+        residency,
+        arena=None,
+        stats: PipelineStats | None = None,
+    ) -> KernelOutput:
+        """Stage 2 for one batch: copy in, run the kernel, charge the clock.
+
+        The one site where a match reaches the kernel.  The kernel runs
+        wherever the execution backend puts it (inline / thread pool /
+        shared-memory process pool); its simulated time is charged here,
+        backend-agnostic, because worker processes cannot reach this
+        device's clock.
+        """
+        device = residency.device
+        qbuf = device.htod(queries, label="query-batch")
+        kernel_start = time.perf_counter()
+        result = self.backend.run_kernel(
+            unit_id, qbuf.array(), residency=residency, arena=arena
+        )
+        kernel_wall = time.perf_counter() - kernel_start
+        qbuf.free()
+        device.clock.add_kernel(result.simulated_time_s)
+        if stats is not None:
+            stats.record_kernel(result.num_pairs, result.simulated_time_s, kernel_wall)
+        return result
+
+    # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
     def run(
@@ -213,11 +265,8 @@ class MatchPipeline:
         # Batches form per dispatch unit: with partition fusing each
         # batcher covers a whole run of small partitions, so one flush
         # becomes one fused kernel launch.
-        num_units = self.tagset_table.num_units
-        fused = num_units != self.partition_table.num_partitions
-        unit_starts = self.tagset_table.unit_starts
         batchers = BatcherSet(
-            num_units,
+            self.tagset_table.num_units,
             self.config.batch_size,
             query_blocks.shape[1],
         )
@@ -240,10 +289,6 @@ class MatchPipeline:
                 return db
 
         # ---------------- stage 2: GPU dispatch ----------------
-        backend = self.backend
-
-        memoize = self.config.query_memo_size > 0
-
         def dispatch(batch: Batch, reason: str) -> None:
             stats.record_batch(reason)
             unit_id = batch.partition_id
@@ -251,42 +296,17 @@ class MatchPipeline:
             device = residency.device
             stream = device.acquire_stream()
 
-            # Duplicate-query memoization: byte-identical queries in the
-            # batch ride the device once; the inverse map fans the keys
-            # back out to every duplicate slot at the lookup stage.
-            queries = batch.queries
-            inverse = None
-            if memoize:
-                unique_rows, inv = batch.canonicalise()
-                if unique_rows.shape[0] < len(batch.states):
-                    queries, inverse = unique_rows, inv
-
             def copy_in_kernel_and_push():
                 # The copy-in / kernel / result-push sequence of §3.3.2,
-                # submitted as one FIFO unit on the acquired stream.  The
-                # kernel itself runs wherever the execution backend puts
-                # it (inline / thread pool / shared-memory process pool);
-                # the stream op holds the in-flight slot until the packed
+                # submitted as one FIFO unit on the acquired stream; the
+                # stream op holds the in-flight slot until the packed
                 # results are back, like a CPU thread awaiting its CUDA
                 # stream.
-                qbuf = device.htod(queries, label="query-batch")
-                kernel_start = time.perf_counter()
-                result = backend.run_kernel(
-                    unit_id,
-                    qbuf.array(),
-                    residency=residency,
-                    arena=stream.arena,
-                )
-                kernel_wall = time.perf_counter() - kernel_start
-                qbuf.free()
-                # Simulated device time is charged here, backend-agnostic:
-                # worker processes cannot reach this device's clock.
-                device.clock.add_kernel(result.simulated_time_s)
-                stats.record_kernel(
-                    result.num_pairs, result.simulated_time_s, kernel_wall
+                result = self.launch(
+                    unit_id, batch.queries, residency, arena=stream.arena, stats=stats
                 )
                 delivered = buffer_for(stream).push(
-                    result.packed, result.num_pairs, meta=(batch.states, inverse)
+                    result.packed, result.num_pairs, meta=batch.states
                 )
                 if delivered is not None:
                     completions.put(delivered)
@@ -304,16 +324,7 @@ class MatchPipeline:
                     return
                 with trace.span("pre_process", queries=int(chunk.size)):
                     rows = query_blocks[chunk]
-                    # Vectorized Algorithm 2 over the whole chunk: one
-                    # dense scan of the compact mask matrix, optionally
-                    # offloaded to the execution backend's worker pool.
-                    matrix = backend.relevant_matrix(rows)
-                    if matrix is None:
-                        matrix = self.partition_table.relevant_matrix(rows)
-                    if fused:
-                        # Collapse partition columns to dispatch units: a
-                        # unit is relevant when any member partition is.
-                        matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
+                    matrix = self.relevant_units(rows)
                     counts = matrix.sum(axis=1)
                     chunk_states: list[QueryState] = []
                     for local, qi in enumerate(chunk):
@@ -502,16 +513,11 @@ class MatchPipeline:
     def _deliver(self, cycle: CycleResult) -> None:
         """Key lookup/reduce for one returned batch (stage 3).
 
-        ``cycle.meta`` is ``(states, inverse)``: with duplicate-query
-        memoization the kernel matched only the unique query rows and
-        ``inverse`` maps each original slot to its unique row; every
-        duplicate slot receives the (shared, read-only) key chunk of its
-        representative.  Without memoization ``inverse`` is ``None`` and
-        slots map one-to-one.
+        ``cycle.meta`` is the batch's query states, one per batch-local
+        query id.
         """
         with trace.span("post_process", pairs=int(cycle.num_pairs)):
-            batch_states, inverse = cycle.meta
-            num_slots = len(batch_states) if inverse is None else int(inverse.max()) + 1
+            batch_states = cycle.meta
             empty = np.empty(0, dtype=np.int64)
             if cycle.num_pairs == 0:
                 for state in batch_states:
@@ -520,17 +526,10 @@ class MatchPipeline:
             q_ids, set_ids = unpack_results(
                 cycle.packed, cycle.num_pairs, out=self._unpack_scratch(cycle.num_pairs)
             )
-            seen = np.zeros(num_slots, dtype=bool)
-            chunks: list[np.ndarray | None] = [None] * num_slots
+            chunks: list[np.ndarray] = [empty] * len(batch_states)
             for local_q, chunk in grouped_key_lookup(
                 q_ids, set_ids.astype(np.int64), self.key_table
             ):
                 chunks[local_q] = chunk
-                seen[local_q] = True
-            if inverse is None:
-                for local_q, state in enumerate(batch_states):
-                    state.deliver_keys(chunks[local_q] if seen[local_q] else empty)
-            else:
-                for slot, state in enumerate(batch_states):
-                    local_q = int(inverse[slot])
-                    state.deliver_keys(chunks[local_q] if seen[local_q] else empty)
+            for state, chunk in zip(batch_states, chunks):
+                state.deliver_keys(chunk)

@@ -278,13 +278,6 @@ class TagsetTable:
             raise ValidationError(f"partition id {partition_id} out of range")
         return self.unit_residency(int(self.unit_of_partition[partition_id]))
 
-    def units_for(self, partition_ids: np.ndarray) -> np.ndarray:
-        """Distinct dispatch units covering the given partitions."""
-        pids = np.asarray(partition_ids, dtype=np.int64)
-        if pids.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self.unit_of_partition[pids])
-
     def host_unit_arrays(
         self,
     ) -> list[

@@ -47,15 +47,10 @@ _COUNTER_ATTRS = (
 
 
 class ServiceMetrics:
-    """Aggregate counters + fixed-bucket latency/stage histograms.
-
-    ``latency_window`` is accepted for backward compatibility with the
-    reservoir-based seed; the histogram needs no sample window.
-    """
+    """Aggregate counters + fixed-bucket latency/stage histograms."""
 
     def __init__(
         self,
-        latency_window: int = 4096,
         *,
         rate_window_s: float = 30.0,
         registry: Registry | None = None,

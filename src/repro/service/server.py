@@ -85,9 +85,7 @@ class MatchServer:
         self.config = config if config is not None else ServiceConfig()
         self.engine = engine
         self.snapshot_path = snapshot_path
-        self.metrics = ServiceMetrics(
-            self.config.latency_window, rate_window_s=self.config.rate_window_s
-        )
+        self.metrics = ServiceMetrics(rate_window_s=self.config.rate_window_s)
         #: Read position into the global tracer ring: stats/metrics
         #: renders pull only the spans recorded since the last pull.
         self._trace_cursor = 0

@@ -196,6 +196,31 @@ class TestExactCheck:
                 }
                 assert got == expected
 
+    def test_exact_check_is_per_association(self):
+        """Two distinct tag sets share one signature; only the one that
+        is a subset of the query may contribute its key."""
+        cfg = TagMatchConfig(
+            width=64, num_hashes=2, exact_check=True, batch_timeout_s=None
+        )
+        with TagMatch(cfg) as eng:
+            seen: dict[tuple[int, ...], str] = {}
+            for i in range(5000):
+                tag = f"t{i}"
+                signature = eng.hasher.encode_set([tag])
+                if signature in seen:
+                    inside, outside = seen[signature], tag
+                    break
+                seen[signature] = tag
+            else:
+                pytest.fail("no two single-tag sets share a signature")
+            eng.add_set({inside}, key=1)
+            eng.add_set({outside}, key=2)
+            eng.consolidate()
+            query = {inside, "unrelated"}
+            assert outside not in query
+            assert eng.match(query).tolist() == [1]
+            assert eng.match_unique(query).tolist() == [1]
+
     def test_exact_check_incompatible_with_bulk(self):
         cfg = TagMatchConfig(exact_check=True)
         with TagMatch(cfg) as eng:

@@ -1,6 +1,5 @@
 """Tests for index persistence (save/load snapshots)."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import TagMatchConfig
@@ -117,6 +116,12 @@ class TestGuards:
             eng.consolidate()
             with pytest.raises(ValidationError):
                 eng.save(str(tmp_path / "x.npz"))
+
+    def test_exact_check_load_rejected(self, built, tmp_path):
+        path = str(tmp_path / "x.npz")
+        built.save(path)
+        with pytest.raises(ValidationError):
+            TagMatch.load(path, config=TagMatchConfig(exact_check=True))
 
     def test_empty_database_roundtrip(self, tmp_path):
         with TagMatch(TagMatchConfig(batch_timeout_s=None)) as eng:

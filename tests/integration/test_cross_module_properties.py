@@ -16,6 +16,7 @@ WIDTH = 192
 
 bit_lists = st.lists(st.integers(0, 40), min_size=0, max_size=6)
 tag_names = st.integers(0, 25).map(lambda i: f"t{i}")
+ALPHABET = [f"t{i}" for i in range(26)]
 tag_sets = st.sets(tag_names, min_size=1, max_size=5)
 
 
@@ -58,6 +59,19 @@ def test_relevant_matrix_equals_per_query_algorithm2(rows, queries, max_p):
         assert sorted(np.nonzero(matrix[qi])[0].tolist()) == per_query
 
 
+def signature_twin(hasher, tags):
+    """``tags`` plus every alphabet tag whose bits its signature already
+    holds: a tag set with the same signature (equal to ``tags`` when no
+    such tag exists)."""
+    signature = np.array(hasher.encode_set(tags), dtype=np.uint64)
+    covered = {
+        t
+        for t in ALPHABET
+        if not np.any(np.array(hasher.encode_set([t]), dtype=np.uint64) & ~signature)
+    }
+    return frozenset(tags) | covered
+
+
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     database=st.lists(
@@ -67,19 +81,35 @@ def test_relevant_matrix_equals_per_query_algorithm2(rows, queries, max_p):
 )
 def test_engine_agrees_with_brute_force(database, queries):
     """match/match-unique equal the set-theoretic definition (§2), with
-    exact_check on so Bloom false positives cannot blur the property."""
-    cfg = TagMatchConfig(
-        max_partition_size=8, num_gpus=1, batch_timeout_s=None, exact_check=True
-    )
-    with TagMatch(cfg) as engine:
-        for tags, key in database:
-            engine.add_set(tags, key)
-        engine.consolidate()
-        for query in queries:
-            expected = sorted(k for tags, k in database if tags <= query)
-            got = sorted(engine.match(query).tolist())
-            assert got == expected
-            assert engine.match_unique(query).tolist() == sorted(set(expected))
+    exact_check on so Bloom false positives cannot blur the property.
+
+    Runs at the paper's 192-bit / 7-hash filter and at a 64-bit / 2-hash
+    one.  Every indexed set is also indexed as its signature twin and
+    queried as itself, so on the narrow filter tag sets share signatures
+    while only some of them are subsets of the query."""
+    for width, num_hashes in ((192, 7), (64, 2)):
+        cfg = TagMatchConfig(
+            width=width,
+            num_hashes=num_hashes,
+            max_partition_size=8,
+            num_gpus=1,
+            batch_timeout_s=None,
+            exact_check=True,
+        )
+        with TagMatch(cfg) as engine:
+            indexed = list(database)
+            for tags, key in database:
+                twin = signature_twin(engine.hasher, tags)
+                if twin != tags:
+                    indexed.append((twin, key))
+            for tags, key in indexed:
+                engine.add_set(tags, key)
+            engine.consolidate()
+            for query in queries + [set(tags) for tags, _ in indexed]:
+                expected = sorted(k for tags, k in indexed if tags <= query)
+                got = sorted(engine.match(query).tolist())
+                assert got == expected, (width, num_hashes)
+                assert engine.match_unique(query).tolist() == sorted(set(expected))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
