@@ -101,6 +101,12 @@ class PipelineStats:
     #: Wall-clock time spent inside kernel invocations (the work a real
     #: deployment would offload to the GPUs).
     kernel_wall_s: float = 0.0
+    #: CPU time of the launching threads inside kernel invocations.
+    #: Unlike ``kernel_wall_s`` it excludes waits for the GIL behind
+    #: concurrently scheduled streams, so it ranks kernel variants by the
+    #: work they do.  Only in-thread kernels (the inline backend) are
+    #: counted; pool backends run the kernel on another thread/process.
+    kernel_cpu_s: float = 0.0
     #: Worker-thread split of the run (Figure 5's x-axis): their sum is
     #: exactly the ``num_threads`` the run was asked for.
     pre_workers: int = 0
@@ -117,12 +123,15 @@ class PipelineStats:
             else:
                 self.shutdown_flushes += 1
 
-    def record_kernel(self, pairs: int, simulated_s: float, wall_s: float = 0.0) -> None:
+    def record_kernel(
+        self, pairs: int, simulated_s: float, wall_s: float = 0.0, cpu_s: float = 0.0
+    ) -> None:
         with self._lock:
             self.kernel_invocations += 1
             self.pairs += pairs
             self.simulated_kernel_s += simulated_s
             self.kernel_wall_s += wall_s
+            self.kernel_cpu_s += cpu_s
 
 
 @dataclass
@@ -221,14 +230,18 @@ class MatchPipeline:
         device = residency.device
         qbuf = device.htod(queries, label="query-batch")
         kernel_start = time.perf_counter()
+        cpu_start = time.thread_time()
         result = self.backend.run_kernel(
             unit_id, qbuf.array(), residency=residency, arena=arena
         )
+        kernel_cpu = time.thread_time() - cpu_start
         kernel_wall = time.perf_counter() - kernel_start
         qbuf.free()
         device.clock.add_kernel(result.simulated_time_s)
         if stats is not None:
-            stats.record_kernel(result.num_pairs, result.simulated_time_s, kernel_wall)
+            stats.record_kernel(
+                result.num_pairs, result.simulated_time_s, kernel_wall, kernel_cpu
+            )
         return result
 
     # ------------------------------------------------------------------

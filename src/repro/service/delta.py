@@ -66,8 +66,11 @@ class DeltaStore:
         self._add_keys: list[int] = []
         self._tomb_blocks: list[np.ndarray] = []
         self._tomb_keys: list[int] = []
-        #: Multiplicity of every (signature, key) pair in the frozen index.
-        self._frozen_counts: Counter = Counter()
+        #: The frozen index's association table, viewed in key order:
+        #: ``_frozen_blocks[_frozen_order[i]]`` carries ``_frozen_keys[i]``.
+        self._frozen_blocks = np.empty((0, num_words), dtype=np.uint64)
+        self._frozen_order = np.empty(0, dtype=np.intp)
+        self._frozen_keys = np.empty(0, dtype=np.int64)
         #: Tombstone multiplicity (validity bookkeeping for unsubscribe).
         self._tomb_counts: Counter = Counter()
         #: Adds below this index are captured by an in-flight rebuild.
@@ -82,11 +85,23 @@ class DeltaStore:
     # Frozen-index bookkeeping
     # ------------------------------------------------------------------
     def rebase(self, db_blocks: np.ndarray, db_keys: np.ndarray) -> None:
-        """Point the store at a (new) frozen index's association table."""
-        counts: Counter = Counter()
-        for row, key in zip(db_blocks, db_keys):
-            counts[_pair(row, int(key))] += 1
-        self._frozen_counts = counts
+        """Point the store at a (new) frozen index's association table.
+
+        The engine's arrays are referenced, not copied: a consolidated
+        database is never written in place.  Only a key-sorted order is
+        built, so a rebase costs one ``argsort`` however large the index.
+        """
+        self._frozen_blocks = db_blocks
+        self._frozen_order = np.argsort(db_keys, kind="stable")
+        self._frozen_keys = db_keys[self._frozen_order]
+
+    def _frozen_count(self, blocks: np.ndarray, key: int) -> int:
+        """Multiplicity of ``(blocks, key)`` in the frozen index."""
+        # Two searchsorted sides, not ``key + 1``: that overflows int64.
+        lo = np.searchsorted(self._frozen_keys, key, side="left")
+        hi = np.searchsorted(self._frozen_keys, key, side="right")
+        rows = self._frozen_blocks[self._frozen_order[lo:hi]]
+        return int(np.count_nonzero((rows == blocks).all(axis=1)))
 
     # ------------------------------------------------------------------
     # Online mutations (event-loop thread)
@@ -124,7 +139,7 @@ class DeltaStore:
             and np.array_equal(self._add_blocks[i], blocks)
         )
         available = (
-            self._frozen_counts.get(pair, 0)
+            self._frozen_count(blocks, int(key))
             + prefix_adds
             - self._tomb_counts.get(pair, 0)
         )

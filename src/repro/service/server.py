@@ -46,6 +46,10 @@ __all__ = ["MatchServer", "serve_until_interrupted"]
 #: Drain budget for in-flight batches during graceful shutdown.
 _DRAIN_TIMEOUT_S = 30.0
 
+#: Keys are stored as int64; a ``sub``/``unsub`` outside this range is
+#: a bad request, not a row that breaks every later delta snapshot.
+_KEY_MIN, _KEY_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(eq=False)
 class _Conn:
@@ -226,12 +230,12 @@ class MatchServer:
                 await self._on_publish(conn, message)
             elif verb == "sub":
                 row = self._encode(message)
-                self.delta.subscribe(row, int(message["key"]))
+                self.delta.subscribe(row, self._key(message))
                 self.metrics.subscribes += 1
                 await self._send(conn, {"id": req_id, "ok": True})
             elif verb == "unsub":
                 row = self._encode(message)
-                removed = self.delta.unsubscribe(row, int(message["key"]))
+                removed = self.delta.unsubscribe(row, self._key(message))
                 self.metrics.unsubscribes += 1
                 await self._send(
                     conn, {"id": req_id, "ok": True, "removed": removed}
@@ -258,6 +262,13 @@ class MatchServer:
             await self._send(
                 conn, {"id": req_id, "ok": False, "error": f"bad_request: {exc}"}
             )
+
+    @staticmethod
+    def _key(message: dict) -> int:
+        key = int(message["key"])
+        if not _KEY_MIN <= key <= _KEY_MAX:
+            raise ValueError(f"key {key} does not fit in int64")
+        return key
 
     def _encode(self, message: dict) -> np.ndarray:
         tags = message["tags"]
@@ -310,9 +321,9 @@ class MatchServer:
     async def _run_batch(self, batch: Batch) -> None:
         tickets: list[_PubTicket] = batch.states
         unique_flags = [t.unique for t in tickets]
-        view = self.delta.view()
         engine = self._lease()
         try:
+            view = self.delta.view()
             results, epoch = await asyncio.to_thread(
                 self._match_batch_sync, engine, batch.queries, unique_flags, view
             )

@@ -7,9 +7,12 @@ answer of an engine consolidated from scratch over the final multiset
 of associations.  Hypothesis drives the interleavings.
 """
 
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.array import unique_rows
@@ -240,3 +243,142 @@ def test_double_fold_is_rejected():
         delta.mark_fold()  # released
     finally:
         frozen.close()
+
+
+class _CounterDeltaStore:
+    """Reference model: the delta store's bookkeeping with the frozen
+    index counted per ``(signature, key)`` row into a ``Counter``."""
+
+    def __init__(self):
+        self.adds = []  # (blocks, key)
+        self.tombs = []
+        self.frozen = Counter()
+        self.tomb_counts = Counter()
+        self.fold_adds = self.fold_tombs = 0
+        self.fold_active = False
+        self.seq = 0
+
+    @staticmethod
+    def pair(blocks, key):
+        return (np.asarray(blocks, dtype=np.uint64).tobytes(), int(key))
+
+    def rebase(self, db_blocks, db_keys):
+        self.frozen = Counter(self.pair(b, k) for b, k in zip(db_blocks, db_keys))
+
+    def subscribe(self, blocks, key):
+        self.adds.append((blocks, int(key)))
+        self.seq += 1
+
+    def unsubscribe(self, blocks, key):
+        pair = self.pair(blocks, key)
+        for i in range(len(self.adds) - 1, self.fold_adds - 1, -1):
+            if self.pair(*self.adds[i]) == pair:
+                del self.adds[i]
+                self.seq += 1
+                return True
+        prefix = sum(self.pair(*a) == pair for a in self.adds[: self.fold_adds])
+        if self.frozen[pair] + prefix - self.tomb_counts[pair] <= 0:
+            return False
+        self.tombs.append((blocks, int(key)))
+        self.tomb_counts[pair] += 1
+        self.seq += 1
+        return True
+
+    def mark_fold(self):
+        self.fold_active = True
+        self.fold_adds, self.fold_tombs = len(self.adds), len(self.tombs)
+
+    def complete_fold(self, db_blocks, db_keys):
+        del self.adds[: self.fold_adds]
+        for tomb in self.tombs[: self.fold_tombs]:
+            self.tomb_counts[self.pair(*tomb)] -= 1
+        del self.tombs[: self.fold_tombs]
+        self.tomb_counts += Counter()
+        self.abort_fold()
+        self.rebase(db_blocks, db_keys)
+
+    def abort_fold(self):
+        self.fold_adds = self.fold_tombs = 0
+        self.fold_active = False
+
+
+#: Signatures share words with each other, so a check on part of a row
+#: (or on the key alone) miscounts; the int64 extremes catch a
+#: ``key + 1`` search bound.
+_MODEL_SIGS = [
+    np.array(row, dtype=np.uint64)
+    for row in ([1, 2], [1, 3], [2**64 - 1, 2], [0, 0])
+]
+_MODEL_KEYS = [-(2**63), -1, 0, 5, 2**63 - 1]
+model_assoc = st.tuples(
+    st.integers(0, len(_MODEL_SIGS) - 1), st.sampled_from(_MODEL_KEYS)
+)
+
+
+def _pairs(blocks, keys):
+    return [_CounterDeltaStore.pair(b, k) for b, k in zip(blocks, keys)]
+
+
+def _as_arrays(pairs):
+    blocks = np.array(
+        [np.frombuffer(b, dtype=np.uint64) for b, _ in pairs], dtype=np.uint64
+    ).reshape(-1, 2)
+    return blocks, np.array([k for _, k in pairs], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # both int64 extremes frozen, each unsubscribed past its count
+    frozen=[(0, 2**63 - 1), (1, 2**63 - 1), (0, -(2**63)), (2, -(2**63))],
+    ops=[
+        ("unsub", (0, 2**63 - 1)),
+        ("unsub", (0, -(2**63))),
+        ("unsub", (0, 2**63 - 1)),
+        ("unsub", (2, -(2**63))),
+    ],
+    shuffle=random.Random(0),
+)
+@given(
+    frozen=st.lists(model_assoc, max_size=10),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["sub", "unsub"]), model_assoc),
+            st.tuples(st.sampled_from(["mark", "complete", "abort"]), st.none()),
+        ),
+        max_size=30,
+    ),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_frozen_bookkeeping_matches_counter_model(frozen, ops, shuffle):
+    """Every unsubscribe verdict and every view equals the Counter model's,
+    over folds that rebase onto a reshuffled frozen ∪ adds − tombstones."""
+    store, model = DeltaStore(2), _CounterDeltaStore()
+    rows = [model.pair(_MODEL_SIGS[s], k) for s, k in frozen]
+    store.rebase(*_as_arrays(rows))
+    model.rebase(*_as_arrays(rows))
+    for op, arg in ops:
+        if op in ("sub", "unsub"):
+            blocks, key = _MODEL_SIGS[arg[0]].copy(), arg[1]
+            if op == "sub":
+                store.subscribe(blocks, key)
+                model.subscribe(blocks, key)
+            else:
+                assert store.unsubscribe(blocks, key) == model.unsubscribe(blocks, key)
+        elif op == "mark" and not model.fold_active:
+            view = store.mark_fold()
+            model.mark_fold()
+            captured_adds = _pairs(view.add_blocks, view.add_keys)
+            captured_tombs = _pairs(view.tomb_blocks, view.tomb_keys)
+        elif op == "complete" and model.fold_active:
+            rows = rows + captured_adds
+            for tomb in captured_tombs:
+                rows.remove(tomb)
+            shuffle.shuffle(rows)
+            store.complete_fold(*_as_arrays(rows))
+            model.complete_fold(*_as_arrays(rows))
+        elif op == "abort" and model.fold_active:
+            store.abort_fold()
+            model.abort_fold()
+        view = store.view()
+        assert _pairs(view.add_blocks, view.add_keys) == [model.pair(*a) for a in model.adds]
+        assert _pairs(view.tomb_blocks, view.tomb_keys) == [model.pair(*t) for t in model.tombs]
+        assert view.seq == model.seq

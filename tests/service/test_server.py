@@ -201,3 +201,51 @@ def test_bad_requests_get_error_replies_not_disconnects():
             await server.shutdown()
 
     asyncio.run(run())
+
+
+def test_out_of_range_key_is_rejected_and_server_keeps_serving():
+    async def run():
+        server, client = await _serve([(("a",), 1)])
+        try:
+            for verb in ("sub", "unsub"):
+                for key in (2**70, 2**63, -(2**63) - 1):
+                    reply = await client.request(verb, tags=["a"], key=key)
+                    assert reply["ok"] is False and "bad_request" in reply["error"]
+            # The delta store was never touched, so publishes still answer.
+            keys, _ = await asyncio.wait_for(client.publish(["a"]), timeout=5.0)
+            assert keys == [1]
+            await client.subscribe(["a"], key=2**63 - 1)
+            await client.subscribe(["a"], key=-(2**63))
+            keys, _ = await asyncio.wait_for(client.publish(["a"]), timeout=5.0)
+            assert sorted(keys) == [-(2**63), 1, 2**63 - 1]
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    asyncio.run(run())
+
+
+def test_failed_delta_snapshot_replies_and_releases_the_ticket(monkeypatch):
+    async def run():
+        server, client = await _serve([(("a",), 1)], conn_inflight=1)
+        try:
+            def broken_view():
+                raise RuntimeError("snapshot failed")
+
+            monkeypatch.setattr(server.delta, "view", broken_view)
+            reply = await asyncio.wait_for(
+                client.request("pub", tags=["a"]), timeout=5.0
+            )
+            assert reply["ok"] is False and "match_failed" in reply["error"]
+            assert server._inflight == 0
+            assert server._idle.is_set()
+            (conn,) = server._conns
+            assert not conn.sem.locked()  # the one permit came back
+            monkeypatch.undo()
+            keys, _ = await asyncio.wait_for(client.publish(["a"]), timeout=5.0)
+            assert keys == [1]
+        finally:
+            await client.close()
+            await asyncio.wait_for(server.shutdown(), timeout=10.0)
+
+    asyncio.run(run())
